@@ -1,6 +1,7 @@
 #include "amr/berger_rigoutsos.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -14,24 +15,39 @@ using mesh::kDim;
 
 namespace {
 
-/// Minimal box containing all tags.
-Box bounding_box(const std::vector<IntVect>& tags) {
-  XL_CHECK(!tags.empty(), "bounding box of no tags");
-  IntVect lo = tags[0], hi = tags[0];
-  for (const IntVect& t : tags) {
-    lo = lo.min(t);
-    hi = hi.max(t);
+using TagIter = std::vector<IntVect>::iterator;
+
+/// Tag count per plane along each dimension of a node's bounding box. One
+/// instance serves a whole clustering: a node's signatures are dead once its
+/// cut is chosen, so its children refill the same buffers.
+using Signatures = std::array<std::vector<int>, kDim>;
+
+/// Minimal box containing the tags in [first, last).
+Box bounding_box(TagIter first, TagIter last) {
+  XL_CHECK(first != last, "bounding box of no tags");
+  IntVect lo = *first, hi = *first;
+  for (TagIter t = first; t != last; ++t) {
+    lo = lo.min(*t);
+    hi = hi.max(*t);
   }
   return Box(lo, hi);
 }
 
-/// Signature: tag count per plane along dimension `dim` of `box`.
-std::vector<int> signature(const std::vector<IntVect>& tags, const Box& box, int dim) {
-  std::vector<int> sig(static_cast<std::size_t>(box.size()[dim]), 0);
-  for (const IntVect& t : tags) {
-    ++sig[static_cast<std::size_t>(t[dim] - box.lo()[dim])];
+/// Fill all three signatures of `box` in one pass over the tags.
+void fill_signatures(TagIter first, TagIter last, const Box& box, Signatures& sigs) {
+  static_assert(kDim == 3, "the fused pass fills three signatures");
+  const IntVect lo = box.lo();
+  for (int d = 0; d < kDim; ++d) {
+    sigs[static_cast<std::size_t>(d)].assign(static_cast<std::size_t>(box.size()[d]), 0);
   }
-  return sig;
+  int* sx = sigs[0].data();
+  int* sy = sigs[1].data();
+  int* sz = sigs[2].data();
+  for (TagIter t = first; t != last; ++t) {
+    ++sx[(*t)[0] - lo[0]];
+    ++sy[(*t)[1] - lo[1]];
+    ++sz[(*t)[2] - lo[2]];
+  }
 }
 
 struct Cut {
@@ -41,7 +57,7 @@ struct Cut {
 };
 
 /// Look for a zero plane (hole) in any signature — the best possible cut.
-Cut find_hole(const std::vector<std::vector<int>>& sigs, const Box& box, int min_size) {
+Cut find_hole(const Signatures& sigs, const Box& box, int min_size) {
   Cut best;
   for (int d = 0; d < kDim; ++d) {
     const auto& sig = sigs[static_cast<std::size_t>(d)];
@@ -60,8 +76,7 @@ Cut find_hole(const std::vector<std::vector<int>>& sigs, const Box& box, int min
 }
 
 /// Otherwise cut at the strongest inflection of the signature Laplacian.
-Cut find_inflection(const std::vector<std::vector<int>>& sigs, const Box& box,
-                    int min_size) {
+Cut find_inflection(const Signatures& sigs, const Box& box, int min_size) {
   Cut best;
   for (int d = 0; d < kDim; ++d) {
     const auto& sig = sigs[static_cast<std::size_t>(d)];
@@ -98,11 +113,15 @@ Cut find_bisection(const Box& box, int min_size) {
   return best;
 }
 
-void cluster(std::vector<IntVect> tags, const Box& domain, const BrConfig& config,
+/// Cluster the tags in [first, last), appending boxes to `out`. A node's
+/// box, fill, signatures and cut depend only on the set of its tags, never on
+/// their order, so the split partitions the range in place and each child
+/// recurses over its own sub-range (left first).
+void cluster(TagIter first, TagIter last, const BrConfig& config, Signatures& sigs,
              std::vector<Box>& out) {
-  if (tags.empty()) return;
-  const Box bb = bounding_box(tags) & domain;
-  const double fill = static_cast<double>(tags.size()) /
+  if (first == last) return;
+  const Box bb = bounding_box(first, last);
+  const double fill = static_cast<double>(last - first) /
                       static_cast<double>(bb.num_cells());
   const bool small_enough = bb.size()[bb.longest_dim()] <= config.max_box_size;
   if (small_enough && fill >= config.fill_ratio) {
@@ -116,10 +135,7 @@ void cluster(std::vector<IntVect> tags, const Box& domain, const BrConfig& confi
     return;
   }
 
-  std::vector<std::vector<int>> sigs;
-  sigs.reserve(kDim);
-  for (int d = 0; d < kDim; ++d) sigs.push_back(signature(tags, bb, d));
-
+  fill_signatures(first, last, bb, sigs);
   Cut cut = find_hole(sigs, bb, config.min_box_size);
   if (cut.dim < 0) cut = find_inflection(sigs, bb, config.min_box_size);
   if (cut.dim < 0) cut = find_bisection(bb, config.min_box_size);
@@ -128,15 +144,10 @@ void cluster(std::vector<IntVect> tags, const Box& domain, const BrConfig& confi
     return;
   }
 
-  std::vector<IntVect> left, right;
-  left.reserve(tags.size());
-  right.reserve(tags.size());
-  for (const IntVect& t : tags) {
-    (t[cut.dim] < cut.at ? left : right).push_back(t);
-  }
-  XL_CHECK(!left.empty() || !right.empty(), "cut lost all tags");
-  cluster(std::move(left), domain, config, out);
-  cluster(std::move(right), domain, config, out);
+  const TagIter mid = std::partition(
+      first, last, [&cut](const IntVect& t) { return t[cut.dim] < cut.at; });
+  cluster(first, mid, config, sigs, out);
+  cluster(mid, last, config, sigs, out);
 }
 
 }  // namespace
@@ -152,11 +163,19 @@ std::vector<Box> berger_rigoutsos(const std::vector<IntVect>& tags, const Box& d
   for (const IntVect& t : tags) {
     if (domain.contains(t)) inside.push_back(t);
   }
-  cluster(std::move(inside), domain, config, out);
+  Signatures sigs;
+  cluster(inside.begin(), inside.end(), config, sigs, out);
   // Guarantee max_box_size: the fill-ratio early-accept can return oversized
   // boxes only when they were unsplittable, but decompose() enforces the cap.
+  // A box already within the cap decomposes to itself, so only longer ones
+  // are chopped.
   std::vector<Box> sized;
+  sized.reserve(out.size());
   for (const Box& b : out) {
+    if (b.size()[b.longest_dim()] <= config.max_box_size) {
+      sized.push_back(b);
+      continue;
+    }
     auto pieces = mesh::decompose(b, config.max_box_size);
     sized.insert(sized.end(), pieces.begin(), pieces.end());
   }

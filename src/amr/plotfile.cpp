@@ -42,6 +42,33 @@ Box read_box(std::istream& is) {
   return Box(lo, hi);
 }
 
+/// Offset of the end of `is`; the read position is left where it was.
+std::streamoff stream_end(std::istream& is) {
+  const std::streampos here = is.tellg();
+  XL_REQUIRE(here != std::streampos(-1), "plotfile stream must be seekable");
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  XL_REQUIRE(end != std::streampos(-1) && is.good(), "plotfile stream must be seekable");
+  return end;
+}
+
+/// Whether `ncomp` doubles per cell of `box` fit in `bytes_left`. Extents
+/// are taken in 64 bits and divided out of the budget, so no header value
+/// can overflow the count.
+bool payload_fits(const Box& box, int ncomp, std::streamoff bytes_left) {
+  if (bytes_left < 0) return false;
+  std::uint64_t cells_left = static_cast<std::uint64_t>(bytes_left) /
+                             (static_cast<std::uint64_t>(ncomp) * sizeof(double));
+  for (int d = 0; d < mesh::kDim; ++d) {
+    const auto extent = static_cast<std::uint64_t>(std::int64_t{box.hi()[d]} -
+                                                   std::int64_t{box.lo()[d]} + 1);
+    if (extent > cells_left) return false;
+    cells_left /= extent;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::int64_t PlotFileData::total_cells() const noexcept {
@@ -90,6 +117,7 @@ void write_plotfile(const std::string& path, const AmrHierarchy& hierarchy, int 
 }
 
 PlotFileData read_plotfile(std::istream& is) {
+  const std::streamoff end = stream_end(is);
   char magic[4];
   is.read(magic, sizeof(magic));
   XL_REQUIRE(is.good() && std::memcmp(magic, kMagic, 4) == 0,
@@ -118,6 +146,10 @@ PlotFileData read_plotfile(std::istream& is) {
       XL_REQUIRE(!valid.empty(), "empty box in plotfile");
       XL_REQUIRE(level.domain.contains(valid), "box outside level domain");
       const auto rank = read_pod<std::int32_t>(is);
+      // Header sizes are untrusted: nothing is allocated for a payload the
+      // stream does not hold.
+      XL_REQUIRE(payload_fits(valid, data.ncomp, end - std::streamoff(is.tellg())),
+                 "plotfile payload larger than the bytes left in the stream");
       mesh::Fab fab(valid, data.ncomp);
       payload.resize(static_cast<std::size_t>(valid.num_cells()) *
                      static_cast<std::size_t>(data.ncomp));

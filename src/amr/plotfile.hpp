@@ -43,7 +43,9 @@ void write_plotfile(std::ostream& os, const AmrHierarchy& hierarchy, int step,
 void write_plotfile(const std::string& path, const AmrHierarchy& hierarchy, int step,
                     double time);
 
-/// Read a plotfile back. Throws ContractError on malformed input.
+/// Read a plotfile back. Throws ContractError on malformed input, including a
+/// header that sizes a payload beyond the bytes left in the stream (checked
+/// before allocating, so the stream must be seekable).
 PlotFileData read_plotfile(std::istream& is);
 PlotFileData read_plotfile(const std::string& path);
 

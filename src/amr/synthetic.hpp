@@ -72,11 +72,12 @@ class SyntheticAmrEvolution {
 
   const SyntheticAmrConfig& config() const noexcept { return config_; }
 
- private:
   /// Tile-granular tags at refinement level `lev` (index space of level lev)
-  /// for time step `step`. Returned points are tile indices.
+  /// for time step `step`. Returned points are tile indices. at() clusters
+  /// these; they are public so a check can rebuild the same geometry.
   std::vector<IntVect> tile_tags(int step, int lev) const;
 
+ private:
   SyntheticAmrConfig config_;
   double shortest_edge_;
   BoxLayout base_layout_;  ///< level 0 is static; built once.

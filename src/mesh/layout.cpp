@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <numeric>
 #include <queue>
+#include <utility>
 
 #include "common/contract.hpp"
 
@@ -92,9 +93,16 @@ std::vector<Box> decompose(const Box& domain, int max_box_size) {
 }
 
 std::uint64_t morton_key(const IntVect& p) {
+  // Offset so negative coordinates (ghost-adjacent boxes) still order sanely.
+  // Outside [-bias, bias) a biased coordinate would not fit its 21 bits and
+  // distinct points would share a key.
+  constexpr int bias = 1 << 20;
+  for (int d = 0; d < kDim; ++d) {
+    XL_REQUIRE(p[d] >= -bias && p[d] < bias,
+               "coordinate outside the Morton key range [-2^20, 2^20)");
+  }
   auto spread = [](std::uint64_t x) {
-    // Spread the low 21 bits of x so there are two zero bits between each.
-    x &= 0x1FFFFF;
+    // Spread the 21 bits of x so there are two zero bits between each.
     x = (x | (x << 32)) & 0x1F00000000FFFFull;
     x = (x | (x << 16)) & 0x1F0000FF0000FFull;
     x = (x | (x << 8)) & 0x100F00F00F00F00Full;
@@ -102,22 +110,23 @@ std::uint64_t morton_key(const IntVect& p) {
     x = (x | (x << 2)) & 0x1249249249249249ull;
     return x;
   };
-  // Offset so negative coordinates (ghost-adjacent boxes) still order sanely.
-  constexpr std::uint64_t bias = 1u << 20;
-  const auto ux = spread(static_cast<std::uint64_t>(p[0] + static_cast<int>(bias)));
-  const auto uy = spread(static_cast<std::uint64_t>(p[1] + static_cast<int>(bias)));
-  const auto uz = spread(static_cast<std::uint64_t>(p[2] + static_cast<int>(bias)));
+  const auto ux = spread(static_cast<std::uint64_t>(p[0] + bias));
+  const auto uy = spread(static_cast<std::uint64_t>(p[1] + bias));
+  const auto uz = spread(static_cast<std::uint64_t>(p[2] + bias));
   return ux | (uy << 1) | (uz << 2);
 }
 
 namespace {
 
 BoxLayout balance_morton(std::vector<Box> boxes, int nranks) {
-  std::vector<std::size_t> order(boxes.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return morton_key(boxes[a].lo()) < morton_key(boxes[b].lo());
-  });
+  // One key per box, sorted with the index alongside. Disjoint boxes have
+  // distinct lo corners and morton_key is injective on its range, so the
+  // keys are unique and the index never breaks a tie.
+  std::vector<std::pair<std::uint64_t, std::size_t>> order(boxes.size());
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    order[i] = {morton_key(boxes[i].lo()), i};
+  }
+  std::sort(order.begin(), order.end());
   // Walk the Morton order accumulating cells; advance to the next rank once
   // the running share exceeds the ideal per-rank share.
   std::int64_t total = 0;
@@ -130,7 +139,7 @@ BoxLayout balance_morton(std::vector<Box> boxes, int nranks) {
   ranks.reserve(boxes.size());
   std::int64_t acc = 0;
   for (std::size_t k = 0; k < order.size(); ++k) {
-    const Box& b = boxes[order[k]];
+    const Box& b = boxes[order[k].second];
     int rank = std::min(nranks - 1, f2i<int>(static_cast<double>(acc) / share));
     acc += b.num_cells();
     ordered.push_back(b);

@@ -46,28 +46,43 @@ StagingService::~StagingService() {
   for (auto& t : workers_) t.join();
 }
 
-void StagingService::enqueue(std::function<void()> task) {
+void StagingService::enqueue(std::function<void(std::uint64_t)> task,
+                             std::optional<int> put_version) {
   {
     MutexLock lock(mutex_);
     XL_REQUIRE(!stop_, "service is shutting down");
-    queue_.push_back(std::move(task));
+    const std::uint64_t seq = next_seq_++;
+    if (put_version) pending_puts_[*put_version].insert(seq);
+    queue_.push_back({seq, std::move(task)});
   }
   work_cv_.notify_one();
 }
 
+void StagingService::finish_put(int version, std::uint64_t seq) {
+  const auto pending = pending_puts_.find(version);
+  XL_CHECK(pending != pending_puts_.end(), "finished put was never queued");
+  pending->second.erase(seq);
+  if (pending->second.empty()) pending_puts_.erase(pending);
+}
+
+bool StagingService::put_pending_before(int version, std::uint64_t seq) const {
+  const auto pending = pending_puts_.find(version);
+  return pending != pending_puts_.end() && *pending->second.begin() < seq;
+}
+
 void StagingService::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Request request;
     {
       MutexLock lock(mutex_);
       while (!stop_ && queue_.empty()) work_cv_.wait(lock);
       if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
+      request = std::move(queue_.front());
       queue_.pop_front();
       ++in_flight_;
     }
     const auto start = Clock::now();
-    task();  // tasks capture their promise and never throw past it
+    request.run(request.seq);  // tasks capture their promise and never throw past it
     const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
     {
       MutexLock lock(mutex_);
@@ -86,7 +101,7 @@ std::future<PutAck> StagingService::put_async(int version, const mesh::Box& box,
   XL_REQUIRE(payload != nullptr, "put_async requires a payload");
   auto promise = std::make_shared<std::promise<PutAck>>();
   std::future<PutAck> future = promise->get_future();
-  enqueue([this, version, box, payload = std::move(payload), promise] {
+  enqueue([this, version, box, payload = std::move(payload), promise](std::uint64_t seq) {
     const auto start = Clock::now();
     PutAck ack;
     std::size_t replicas_placed = 0;
@@ -100,7 +115,9 @@ std::future<PutAck> StagingService::put_async(int version, const mesh::Box& box,
         ack.accepted = true;
         replicas_placed = space_.object_replicas(ack.id);
       }
+      finish_put(version, seq);
     }
+    put_done_cv_.notify_all();
     if (!ack.accepted) {
       XL_LOG_WARN("staging put rejected: version " << version << ", " << bytes
                                                    << " bytes (space full)");
@@ -117,7 +134,7 @@ std::future<PutAck> StagingService::put_async(int version, const mesh::Box& box,
       config_.observer(ev);
     }
     promise->set_value(ack);
-  });
+  }, version);
   return future;
 }
 
@@ -126,7 +143,7 @@ std::future<std::vector<std::shared_ptr<const mesh::Fab>>> StagingService::get_a
   auto promise =
       std::make_shared<std::promise<std::vector<std::shared_ptr<const mesh::Fab>>>>();
   auto future = promise->get_future();
-  enqueue([this, version, region, promise] {
+  enqueue([this, version, region, promise](std::uint64_t) {
     const auto start = Clock::now();
     std::vector<std::shared_ptr<const mesh::Fab>> out;
     std::size_t bytes = 0;
@@ -172,7 +189,7 @@ std::future<std::vector<std::shared_ptr<const mesh::Fab>>> StagingService::get_a
 std::future<RepairReport> StagingService::repair_async(std::size_t max_bytes) {
   auto promise = std::make_shared<std::promise<RepairReport>>();
   auto future = promise->get_future();
-  enqueue([this, max_bytes, promise] {
+  enqueue([this, max_bytes, promise](std::uint64_t) {
     const auto start = Clock::now();
     RepairReport report;
     {
@@ -198,7 +215,7 @@ std::future<AnalysisResult> StagingService::analyze_async(int version,
                                                           double isovalue, int comp) {
   auto promise = std::make_shared<std::promise<AnalysisResult>>();
   auto future = promise->get_future();
-  enqueue([this, version, region, isovalue, comp, promise] {
+  enqueue([this, version, region, isovalue, comp, promise](std::uint64_t seq) {
     const auto start = Clock::now();
     AnalysisResult result;
     // Reference matching payloads under the lock (refcount bumps, no copies),
@@ -208,6 +225,8 @@ std::future<AnalysisResult> StagingService::analyze_async(int version,
     std::vector<std::shared_ptr<const mesh::Fab>> payloads;
     {
       MutexLock lock(mutex_);
+      // Another worker may still be running an earlier put of this version.
+      while (put_pending_before(version, seq)) put_done_cv_.wait(lock);
       std::vector<std::uint64_t> ids;
       for (const StagedObject* obj : space_.query(version, region)) {
         if (!obj->payload) continue;

@@ -16,7 +16,10 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -164,7 +167,9 @@ class StagingService {
 
   /// In-transit analysis: marching cubes over every staged object of
   /// `version` intersecting `region`; consumed objects are erased (their
-  /// memory returns to the space).
+  /// memory returns to the space). Every put_async of `version` issued before
+  /// this call completes before the analysis reads the space, so a caller
+  /// need not wait on its PutAcks first.
   std::future<AnalysisResult> analyze_async(int version, const mesh::Box& region,
                                             double isovalue, int comp);
 
@@ -199,8 +204,21 @@ class StagingService {
   int replication() const noexcept { return config_.replication; }
 
  private:
+  /// A queued request; `run` receives the request's sequence number.
+  struct Request {
+    std::uint64_t seq = 0;
+    std::function<void(std::uint64_t)> run;
+  };
+
   void worker_loop();
-  void enqueue(std::function<void()> task) XL_EXCLUDES(mutex_);
+  /// Queue `task` under the next sequence number (numbers follow queue
+  /// order). A put passes its version, and stays pending until it calls
+  /// finish_put.
+  void enqueue(std::function<void(std::uint64_t)> task,
+               std::optional<int> put_version = std::nullopt) XL_EXCLUDES(mutex_);
+  void finish_put(int version, std::uint64_t seq) XL_REQUIRES(mutex_);
+  /// Some put of `version` queued before request `seq` has not finished.
+  bool put_pending_before(int version, std::uint64_t seq) const XL_REQUIRES(mutex_);
 
   XL_UNGUARDED("immutable after construction; observer must be thread-safe")
   ServiceConfig config_;
@@ -209,7 +227,14 @@ class StagingService {
   CondVar work_cv_;
   XL_UNGUARDED("condition variables synchronize internally")
   CondVar idle_cv_;
-  std::deque<std::function<void()>> queue_ XL_GUARDED_BY(mutex_);
+  XL_UNGUARDED("condition variables synchronize internally")
+  CondVar put_done_cv_;
+  std::deque<Request> queue_ XL_GUARDED_BY(mutex_);
+  std::uint64_t next_seq_ XL_GUARDED_BY(mutex_) = 0;
+  /// Sequence numbers of the queued or running puts of each version. An
+  /// analysis waits only for puts numbered below it: those were dequeued
+  /// before it (the queue is FIFO) and never wait, so the wait always ends.
+  std::map<int, std::set<std::uint64_t>> pending_puts_ XL_GUARDED_BY(mutex_);
   int in_flight_ XL_GUARDED_BY(mutex_) = 0;
   bool stop_ XL_GUARDED_BY(mutex_) = false;
   /// Requests may run on any worker; every space access takes the lock.

@@ -1,6 +1,7 @@
 // Tests for the AMR machinery: tagging, Berger-Rigoutsos clustering,
 // inter-level interpolation, hierarchy regridding, the memory model and the
 // synthetic geometry evolution.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -14,6 +15,9 @@
 #include "amr/synthetic.hpp"
 #include "amr/tagging.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "seed_geometry.hpp"
+#include "workflow/experiment.hpp"
 
 namespace xl::amr {
 namespace {
@@ -96,6 +100,81 @@ TEST(BergerRigoutsos, IgnoresTagsOutsideDomain) {
   const Box domain = Box::domain({8, 8, 8});
   const auto boxes = berger_rigoutsos({{100, 100, 100}}, domain, {});
   EXPECT_TRUE(boxes.empty());
+}
+
+// Tag clouds for the seed-replica oracle. Each one is a named list of tags in
+// (or, for some, partly outside) `domain`.
+struct TagCloud {
+  const char* name;
+  Box domain;
+  std::vector<IntVect> tags;
+};
+
+std::vector<TagCloud> oracle_clouds() {
+  std::vector<TagCloud> clouds;
+  const Box cube = Box::domain({40, 36, 32});
+  clouds.push_back({"thin shell", cube, sphere_shell_tags(cube, 9.0, 10.5)});
+  clouds.push_back({"thick shell", cube, sphere_shell_tags(cube, 4.0, 14.0)});
+
+  std::vector<IntVect> blobs;
+  const IntVect centers[] = {{6, 7, 8}, {30, 28, 10}, {20, 10, 24}, {23, 12, 26}};
+  const int radii[] = {4, 6, 3, 5};
+  for (int b = 0; b < 4; ++b) {
+    for (BoxIterator it(cube); it.ok(); ++it) {
+      const IntVect d = *it - centers[b];
+      if (d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= radii[b] * radii[b]) {
+        blobs.push_back(*it);  // overlapping blobs tag some cells twice.
+      }
+    }
+  }
+  clouds.push_back({"blobs", cube, blobs});
+
+  // Scatter over a box larger than the domain: some tags fall outside and are
+  // dropped, some repeat.
+  Rng rng(2024);
+  const Box offset({-7, 3, -12}, {25, 30, 9});
+  std::vector<IntVect> scatter;
+  for (int i = 0; i < 400; ++i) {
+    scatter.push_back({static_cast<int>(rng.uniform_int(-9, 27)),
+                       static_cast<int>(rng.uniform_int(1, 32)),
+                       static_cast<int>(rng.uniform_int(-14, 11))});
+  }
+  clouds.push_back({"random scatter", offset, scatter});
+
+  clouds.push_back({"single tag", offset, {{3, 17, -4}}});
+
+  // Every cell on the domain's faces, so cuts and boxes touch each edge.
+  std::vector<IntVect> edge;
+  for (BoxIterator it(offset); it.ok(); ++it) {
+    for (int d = 0; d < mesh::kDim; ++d) {
+      if ((*it)[d] == offset.lo()[d] || (*it)[d] == offset.hi()[d]) {
+        edge.push_back(*it);
+        break;
+      }
+    }
+  }
+  clouds.push_back({"domain edge", offset, edge});
+  return clouds;
+}
+
+TEST(SeedIdentity, BergerRigoutsosMatchesCopyingRecursion) {
+  for (const TagCloud& cloud : oracle_clouds()) {
+    for (int max_box : {1, 2, 4, 32}) {
+      for (int min_box : {1, 2, 4}) {
+        for (double fill : {0.5, 0.7, 1.0}) {
+          BrConfig cfg;
+          cfg.max_box_size = max_box;
+          cfg.min_box_size = min_box;
+          cfg.fill_ratio = fill;
+          const std::vector<Box> want =
+              seed::seed_berger_rigoutsos(cloud.tags, cloud.domain, cfg);
+          EXPECT_EQ(berger_rigoutsos(cloud.tags, cloud.domain, cfg), want)
+              << cloud.name << ": max " << max_box << ", min " << min_box << ", fill "
+              << fill;
+        }
+      }
+    }
+  }
 }
 
 // --- Tagging ---------------------------------------------------------------
@@ -335,6 +414,46 @@ TEST(Synthetic, RefinedBoxesInsideRefinedDomain) {
     for (std::size_t l = 0; l < lev; ++l) domain = domain.refine(cfg.ref_ratio);
     for (const Box& b : s.levels[lev].boxes()) {
       EXPECT_TRUE(domain.contains(b)) << "level " << lev << " box " << b;
+    }
+  }
+}
+
+// Every step of the Titan scale-0 geometry, rebuilt from the same tags with
+// the frozen clustering and balancing, equals what at() returns.
+TEST(SeedIdentity, TitanSyntheticStepsMatchSeedGeometry) {
+  const SyntheticAmrConfig cfg =
+      workflow::titan_middleware_experiment(0, workflow::Mode::StaticInSitu).geometry;
+  ASSERT_EQ(cfg.balance, mesh::BalanceMethod::MortonRoundRobin);
+  const SyntheticAmrEvolution evo(cfg);
+  const mesh::BoxLayout base = seed::seed_balance_morton(
+      mesh::decompose(cfg.base_domain, cfg.max_box_size), cfg.nranks);
+  const Box tile_domain = cfg.base_domain.coarsen(cfg.tile_size);
+  for (int step = 0; step < 50; ++step) {
+    const SyntheticStep got = evo.at(step);
+    std::vector<mesh::BoxLayout> want{base};
+    int level_ratio = cfg.ref_ratio;
+    for (int lev = 0; lev + 1 < cfg.max_levels; ++lev) {
+      const std::vector<IntVect> tags = evo.tile_tags(step, lev);
+      if (tags.empty()) break;
+      const int cells_per_tile = cfg.tile_size * level_ratio;
+      BrConfig br;
+      br.fill_ratio = cfg.fill_ratio;
+      br.max_box_size = std::max(1, cfg.max_box_size / cells_per_tile);
+      br.min_box_size = 1;
+      const Box fine_domain = cfg.base_domain.refine(IntVect::uniform(level_ratio));
+      std::vector<Box> boxes;
+      for (const Box& tb : seed::seed_berger_rigoutsos(tags, tile_domain, br)) {
+        const Box fine = tb.refine(IntVect::uniform(cells_per_tile)) & fine_domain;
+        if (!fine.empty()) boxes.push_back(fine);
+      }
+      if (boxes.empty()) break;
+      want.push_back(seed::seed_balance_morton(std::move(boxes), cfg.nranks));
+      level_ratio *= cfg.ref_ratio;
+    }
+    ASSERT_EQ(got.levels.size(), want.size()) << "step " << step;
+    for (std::size_t lev = 0; lev < want.size(); ++lev) {
+      EXPECT_TRUE(seed::same_layout(got.levels[lev], want[lev]))
+          << "step " << step << " level " << lev;
     }
   }
 }

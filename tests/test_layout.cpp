@@ -6,7 +6,9 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "mesh/layout.hpp"
+#include "seed_geometry.hpp"
 
 namespace xl::mesh {
 namespace {
@@ -57,6 +59,46 @@ TEST(MortonKey, OrdersLocally) {
   EXPECT_NE(morton_key({1, 0, 0}), morton_key({0, 1, 0}));
   // Negative coordinates remain valid (biased).
   EXPECT_LT(morton_key({-4, -4, -4}), morton_key({4, 4, 4}));
+}
+
+TEST(MortonKey, RejectsCoordinatesOutsideKeyRange) {
+  // Each biased coordinate has 21 bits: [-2^20, 2^20) maps one to one.
+  constexpr int kLimit = 1 << 20;
+  EXPECT_NO_THROW(morton_key({-kLimit, kLimit - 1, 0}));
+  EXPECT_NE(morton_key({-kLimit, 0, 0}), morton_key({kLimit - 1, 0, 0}));
+  EXPECT_THROW(morton_key({kLimit, 0, 0}), ContractError);
+  EXPECT_THROW(morton_key({0, -kLimit - 1, 0}), ContractError);
+  EXPECT_THROW(morton_key({0, 0, kLimit + 5}), ContractError);
+  // Unchecked, these two disjoint boxes would alias to the same key.
+  const std::vector<Box> aliasing{Box::cube({0, 0, 0}, 2),
+                                  Box::cube({2 * kLimit, 0, 0}, 2)};
+  EXPECT_THROW(balance(aliasing, 2), ContractError);
+}
+
+// Disjoint box sets in several orders, balanced over several rank counts:
+// the keyed sort gives the same boxes, order and ranks as the frozen
+// comparator sort.
+TEST(SeedIdentity, MortonBalanceMatchesComparatorSort) {
+  std::vector<std::vector<Box>> sets;
+  sets.push_back(decompose(Box::domain({64, 32, 16}), 8));
+  sets.push_back(decompose(Box({-40, -3, 7}, {21, 30, 44}), 5));
+  sets.push_back(decompose(Box({-(1 << 20), 0, 0}, {-(1 << 20) + 9, 9, 9}), 3));
+  std::vector<Box> shuffled = decompose(Box::domain({48, 40, 24}), 4);
+  Rng rng(77);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    const auto j = rng.uniform_int(0, static_cast<std::int64_t>(i) - 1);
+    std::swap(shuffled[i - 1], shuffled[static_cast<std::size_t>(j)]);
+  }
+  sets.push_back(shuffled);
+  sets.push_back({Box::cube({5, 5, 5}, 1)});
+  sets.push_back({});
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    for (int nranks : {1, 3, 8, 1000}) {
+      EXPECT_TRUE(seed::same_layout(balance(sets[s], nranks),
+                                    seed::seed_balance_morton(sets[s], nranks)))
+          << "set " << s << ", " << nranks << " ranks";
+    }
+  }
 }
 
 class BalanceTest : public ::testing::TestWithParam<BalanceMethod> {};

@@ -2,8 +2,10 @@
 // hierarchy restoration, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "amr/plotfile.hpp"
 
@@ -99,6 +101,39 @@ TEST(Plotfile, RejectsGarbageAndTruncation) {
   std::stringstream truncated(std::ios::in | std::ios::out | std::ios::binary);
   truncated << full.substr(0, full.size() / 2);
   EXPECT_THROW(read_plotfile(truncated), ContractError);
+}
+
+// A header whose one box claims 2^37 cells (2^40 payload bytes) in a stream
+// of about a hundred bytes is rejected before anything is allocated for it.
+TEST(Plotfile, RejectsPayloadLargerThanStream) {
+  std::string bytes = "XLPF";
+  auto put = [&bytes](auto value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  auto put_box = [&put](const Box& b) {
+    for (int d = 0; d < mesh::kDim; ++d) put(std::int32_t{b.lo()[d]});
+    for (int d = 0; d < mesh::kDim; ++d) put(std::int32_t{b.hi()[d]});
+  };
+  const Box huge = Box::domain({8192, 8192, 2048});
+  put(std::uint32_t{1});  // format version
+  put(std::int32_t{0});   // step
+  put(0.0);               // time
+  put(std::int32_t{1});   // ncomp
+  put(std::int32_t{2});   // ref_ratio
+  put(std::uint32_t{1});  // levels
+  put_box(huge);          // level domain
+  put(std::uint32_t{1});  // boxes
+  put_box(huge);
+  put(std::int32_t{0});   // rank
+  put(1.0);               // the only payload value present
+  std::stringstream stream(bytes, std::ios::in | std::ios::out | std::ios::binary);
+  try {
+    (void)read_plotfile(stream);
+    ADD_FAILURE() << "an oversized payload was accepted";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("bytes left in the stream"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Plotfile, RestorationRejectsMismatchedDomain) {

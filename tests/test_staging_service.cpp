@@ -241,5 +241,33 @@ TEST(StagingService, ManyConcurrentPutsAccountExactly) {
   EXPECT_LE(accepted_bytes, expected);
 }
 
+// An analysis issued right after its version's puts, without waiting on the
+// acks (as the coupled example does), must still see every one of them: with
+// several servers a worker could otherwise take the analysis while another
+// worker is still running an earlier put, and that object would stay staged.
+TEST(StagingService, AnalysisNeverOvertakesEarlierPutsOfItsVersion) {
+  for (int servers : {2, 4}) {
+    StagingService service(small_service(servers));
+    const int versions = 1500;
+    const int puts_per_version = 4;
+    const Box region = Box::domain({8 * puts_per_version, 4, 4});
+    std::vector<std::future<AnalysisResult>> analyses;
+    for (int v = 0; v < versions; ++v) {
+      for (int i = 0; i < puts_per_version; ++i) {
+        const Box box = Box::cube({8 * i, 0, 0}, 4);
+        (void)service.put_async(v, box, Fab(box, 1, 1.0));
+      }
+      analyses.push_back(service.analyze_async(v, region, 0.5, 0));
+    }
+    service.drain();
+    std::size_t short_analyses = 0;
+    for (auto& a : analyses) {
+      short_analyses += a.get().objects != static_cast<std::size_t>(puts_per_version);
+    }
+    EXPECT_EQ(short_analyses, 0u) << servers << " servers";
+    EXPECT_EQ(service.used_bytes(), 0u) << servers << " servers";
+  }
+}
+
 }  // namespace
 }  // namespace xl::staging
