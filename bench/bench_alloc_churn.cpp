@@ -46,6 +46,12 @@ namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
 
+// Every replacement operator delete frees through this one out-of-line call.
+// Inlined, gcc (-Wmismatched-new-delete, at -O2 -g) pairs the std::free with
+// the new-expression it sees at the call site and rejects the strict build,
+// although the operator new replacements above allocate with malloc.
+[[gnu::noinline]] void free_allocation(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -74,14 +80,16 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { free_allocation(p); }
+void operator delete[](void* p) noexcept { free_allocation(p); }
+void operator delete(void* p, std::size_t) noexcept { free_allocation(p); }
+void operator delete[](void* p, std::size_t) noexcept { free_allocation(p); }
+void operator delete(void* p, std::align_val_t) noexcept { free_allocation(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { free_allocation(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { free_allocation(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  free_allocation(p);
+}
 
 namespace {
 

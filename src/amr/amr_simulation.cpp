@@ -55,7 +55,7 @@ void AmrSimulation::init_level_from_physics(std::size_t lev) {
 
 void AmrSimulation::initialize() {
   init_level_from_physics(0);
-  fill_ghosts(0);
+  hierarchy_.fill_ghosts(0);
   // Grow the hierarchy one level at a time from fresh physics data.
   while (hierarchy_.num_levels() < static_cast<std::size_t>(config_.max_levels)) {
     const std::size_t lev = hierarchy_.num_levels() - 1;
@@ -68,19 +68,11 @@ void AmrSimulation::initialize() {
     layouts.push_back(mesh::balance(std::move(boxes), config_.nranks, config_.balance));
     hierarchy_.regrid(layouts);
     init_level_from_physics(hierarchy_.num_levels() - 1);
-    fill_ghosts(hierarchy_.num_levels() - 1);
+    hierarchy_.fill_ghosts(hierarchy_.num_levels() - 1);
   }
   XL_LOG_INFO("initialized " << physics_->name() << " with "
                              << hierarchy_.num_levels() << " levels, "
                              << hierarchy_.total_cells() << " cells");
-}
-
-void AmrSimulation::fill_ghosts(std::size_t lev) {
-  AmrLevel& level = hierarchy_.level(lev);
-  level.data.exchange(level.domain, config_.periodic);
-  if (lev > 0) {
-    fill_cf_ghosts(hierarchy_.level(lev - 1), level, config_.ref_ratio, config_.nghost);
-  }
 }
 
 double AmrSimulation::stable_dt() const {
@@ -113,7 +105,7 @@ double AmrSimulation::stable_dt() const {
 }
 
 void AmrSimulation::advance_recursive(std::size_t lev, double dt) {
-  fill_ghosts(lev);
+  hierarchy_.fill_ghosts(lev);
   advance_level(lev, dt);
   if (lev + 1 < hierarchy_.num_levels()) {
     const double fine_dt = dt / static_cast<double>(config_.ref_ratio);
@@ -128,22 +120,18 @@ void AmrSimulation::advance_recursive(std::size_t lev, double dt) {
 void AmrSimulation::advance_level(std::size_t lev, double dt) {
   AmrLevel& level = hierarchy_.level(lev);
   const double d = dx(lev);
-  // Each box reads only its own fab (ghosts were filled beforehand) and
-  // writes its own updated copy, so boxes advance independently.
-  const std::size_t nboxes = level.layout.num_boxes();
-  std::vector<Fab> updated(nboxes);
-  parallel_for(ThreadPool::global(), 0, nboxes,
+  // Each box reads only its own fab (ghosts were filled beforehand), so a
+  // box's update replaces its fab at once: the level never holds a second
+  // copy of all its data, only one scratch fab per running chunk.
+  parallel_for(ThreadPool::global(), 0, level.layout.num_boxes(),
                [&](std::size_t blo, std::size_t bhi) {
     for (std::size_t i = blo; i < bhi; ++i) {
       Fab out(level.data[i].box(), physics_->ncomp());
       out.copy_from(level.data[i], level.data[i].box());
       godunov_update(*physics_, level.data[i], level.layout.box(i), d, dt, out);
-      updated[i] = std::move(out);
+      level.data[i] = std::move(out);
     }
   });
-  for (std::size_t i = 0; i < updated.size(); ++i) {
-    level.data[i] = std::move(updated[i]);
-  }
 }
 
 StepStats AmrSimulation::advance() {
@@ -156,7 +144,7 @@ StepStats AmrSimulation::advance() {
     advance_recursive(0, dt);
   } else {
     for (std::size_t lev = 0; lev < hierarchy_.num_levels(); ++lev) {
-      fill_ghosts(lev);
+      hierarchy_.fill_ghosts(lev);
     }
     for (std::size_t lev = 0; lev < hierarchy_.num_levels(); ++lev) {
       advance_level(lev, dt);
@@ -191,7 +179,7 @@ StepStats AmrSimulation::advance() {
 
 std::vector<Box> AmrSimulation::boxes_from_tags(std::size_t lev) {
   AmrLevel& level = hierarchy_.level(lev);
-  fill_ghosts(lev);
+  hierarchy_.fill_ghosts(lev);
   std::vector<IntVect> tags = tag_cells(level, criterion_);
   if (tags.empty()) return {};
   tags = buffer_tags(tags, config_.tag_buffer, level.domain);
@@ -231,7 +219,7 @@ void AmrSimulation::regrid_all() {
     layouts.push_back(mesh::balance(std::move(boxes), config_.nranks, config_.balance));
   }
   hierarchy_.regrid(layouts);
-  for (std::size_t lev = 1; lev < hierarchy_.num_levels(); ++lev) fill_ghosts(lev);
+  for (std::size_t lev = 1; lev < hierarchy_.num_levels(); ++lev) hierarchy_.fill_ghosts(lev);
 }
 
 }  // namespace xl::amr

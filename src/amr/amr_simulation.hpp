@@ -51,7 +51,6 @@ class AmrSimulation {
 
  private:
   void init_level_from_physics(std::size_t lev);
-  void fill_ghosts(std::size_t lev);
   double stable_dt() const;
   void advance_level(std::size_t lev, double dt);
   /// Subcycled recursion: advance level `lev` by dt, then the finer level by

@@ -2,9 +2,50 @@
 
 #include "amr/interp.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 
 namespace xl::amr {
+
+namespace {
+
+/// The cells of each box of `coarse` outside every coarsened box of `fine`,
+/// as maximal x-runs in BoxIterator order; box i's runs are
+/// runs[begin[i], begin[i+1]). A cell p is covered exactly when p lies in
+/// coarsen(B) for a fine box B, which is is_finest_at's child-box test.
+void coverage_runs(const BoxLayout& coarse, const BoxLayout& fine, int ratio,
+                   std::vector<Box>& runs, std::vector<std::size_t>& begin) {
+  std::vector<Box> covers;                 // coarsened fine boxes over one box
+  std::vector<std::pair<int, int>> spans;  // their x-intervals on one row
+  begin.reserve(coarse.num_boxes() + 1);
+  for (const Box& valid : coarse.boxes()) {
+    begin.push_back(runs.size());
+    covers.clear();
+    for (const Box& b : fine.boxes()) {
+      const Box c = b.coarsen(ratio) & valid;
+      if (!c.empty()) covers.push_back(c);
+    }
+    mesh::for_each_row(valid, [&](int j, int k) {
+      spans.clear();
+      for (const Box& c : covers) {
+        if (j >= c.lo()[1] && j <= c.hi()[1] && k >= c.lo()[2] && k <= c.hi()[2]) {
+          spans.emplace_back(c.lo()[0], c.hi()[0]);
+        }
+      }
+      std::sort(spans.begin(), spans.end());
+      int x = valid.lo()[0];
+      for (const auto& [lo, hi] : spans) {
+        if (lo > x) runs.emplace_back(IntVect{x, j, k}, IntVect{lo - 1, j, k});
+        x = std::max(x, hi + 1);
+      }
+      if (x <= valid.hi()[0]) runs.emplace_back(IntVect{x, j, k}, IntVect{valid.hi()[0], j, k});
+    });
+  }
+  begin.push_back(runs.size());
+}
+
+}  // namespace
 
 AmrHierarchy::AmrHierarchy(const AmrConfig& config, int ncomp)
     : config_(config), ncomp_(ncomp) {
@@ -18,6 +59,7 @@ AmrHierarchy::AmrHierarchy(const AmrConfig& config, int ncomp)
                               config.nranks, config.balance);
   base.data = LevelData(base.layout, ncomp, config.nghost);
   levels_.push_back(std::move(base));
+  build_plans(0);
 }
 
 Box AmrHierarchy::domain_of(std::size_t l) const {
@@ -56,6 +98,47 @@ void AmrHierarchy::regrid(const std::vector<BoxLayout>& fine_layouts) {
       }
     }
   }
+  build_plans(1);
+}
+
+void AmrHierarchy::build_plans(std::size_t first) {
+  plans_.resize(levels_.size());
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    LevelPlans& plan = plans_[l];
+    const AmrLevel& level = levels_[l];
+    if (l >= first) {
+      plan.copier = mesh::Copier(level.layout, config_.nghost, level.domain,
+                                 config_.periodic);
+      if (l > 0) {
+        plan.cf_ghosts =
+            build_cf_ghost_plan(levels_[l - 1], level, config_.ref_ratio, config_.nghost);
+      }
+    }
+    plan.runs.clear();
+    plan.run_begin.clear();
+    if (l + 1 < levels_.size()) {
+      coverage_runs(level.layout, levels_[l + 1].layout, config_.ref_ratio, plan.runs,
+                    plan.run_begin);
+    }
+    plan.runs.shrink_to_fit();
+    plan.run_begin.shrink_to_fit();
+  }
+}
+
+void AmrHierarchy::fill_ghosts(std::size_t l) {
+  AmrLevel& level = this->level(l);
+  level.data.exchange(plans_[l].copier);
+  if (l > 0) {
+    apply_cf_ghost_plan(plans_[l].cf_ghosts, levels_[l - 1], level, config_.ref_ratio);
+  }
+}
+
+std::span<const Box> AmrHierarchy::uncovered_runs(std::size_t l, std::size_t box) const {
+  XL_REQUIRE(l + 1 < levels_.size(), "the finest level has no coverage runs");
+  const LevelPlans& plan = plans_[l];
+  XL_REQUIRE(box + 1 < plan.run_begin.size(), "box index out of range");
+  return std::span<const Box>(plan.runs).subspan(
+      plan.run_begin[box], plan.run_begin[box + 1] - plan.run_begin[box]);
 }
 
 std::int64_t AmrHierarchy::total_cells() const noexcept {

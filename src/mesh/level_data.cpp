@@ -38,6 +38,7 @@ Copier::Copier(const BoxLayout& layout, int nghost, const Box& domain, bool peri
       }
     }
   }
+  ops_.shrink_to_fit();  // plans are kept across steps; hold no growth slack.
 }
 
 std::size_t Copier::off_rank_bytes(const BoxLayout& layout, int ncomp) const {
@@ -64,11 +65,9 @@ LevelData::LevelData(const BoxLayout& layout, int ncomp, int nghost)
 void LevelData::exchange(const Copier& copier) {
   for (const CopyOp& op : copier.ops()) {
     if (op.shift == IntVect::zero()) {
-      // Restrict the copy to the source's valid cells.
-      Fab& dst = fabs_[op.dst];
-      const Fab& src = fabs_[op.src];
-      const Box region = op.region & layout_.box(op.src);
-      dst.copy_from(src, region);
+      // An unshifted op's region is ghosted(dst) & box(src): it already lies
+      // in the source's valid cells.
+      fabs_[op.dst].copy_from(fabs_[op.src], op.region);
     } else {
       fabs_[op.dst].copy_from_shifted(fabs_[op.src], op.region, op.shift);
     }
@@ -86,24 +85,33 @@ std::size_t LevelData::bytes() const noexcept {
   return total;
 }
 
+template <typename Fn>
+void LevelData::for_each_valid(int c, Fn&& fn) const {
+  for (std::size_t i = 0; i < fabs_.size(); ++i) {
+    const Fab& fab = fabs_[i];
+    const Box& valid = layout_.box(i);
+    const auto nx = static_cast<std::size_t>(valid.size()[0]);
+    const auto xoff = static_cast<std::size_t>(valid.lo()[0] - fab.box().lo()[0]);
+    for_each_row(valid, [&](int j, int k) {
+      const double* r = fab.row(c, j, k) + xoff;
+      for (std::size_t x = 0; x < nx; ++x) fn(r[x]);
+    });
+  }
+}
+
 double LevelData::sum(int c) const {
   double total = 0.0;
-  for (std::size_t i = 0; i < fabs_.size(); ++i) {
-    for (BoxIterator it(layout_.box(i)); it.ok(); ++it) total += fabs_[i](*it, c);
-  }
+  for_each_valid(c, [&](double v) { total += v; });
   return total;
 }
 
 std::pair<double, double> LevelData::min_max(int c) const {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < fabs_.size(); ++i) {
-    for (BoxIterator it(layout_.box(i)); it.ok(); ++it) {
-      const double v = fabs_[i](*it, c);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-  }
+  for_each_valid(c, [&](double v) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  });
   return {lo, hi};
 }
 

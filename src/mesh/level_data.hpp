@@ -74,6 +74,10 @@ class LevelData {
   void set_all(double value);
 
  private:
+  /// Visit component c of every valid cell, box by box in BoxIterator order.
+  template <typename Fn>
+  void for_each_valid(int c, Fn&& fn) const;
+
   BoxLayout layout_;
   int ncomp_ = 0;
   int nghost_ = 0;

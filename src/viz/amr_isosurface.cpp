@@ -6,8 +6,6 @@ namespace xl::viz {
 
 using amr::AmrHierarchy;
 using mesh::Box;
-using mesh::BoxIterator;
-using mesh::IntVect;
 
 TriangleMesh extract_amr_isosurface(const AmrHierarchy& hierarchy, double isovalue,
                                     int comp, double dx0, IsosurfaceStats* stats) {
@@ -36,17 +34,13 @@ TriangleMesh extract_amr_isosurface(const AmrHierarchy& hierarchy, double isoval
             active[i] = count_active_cells(level.data[i], valid, isovalue, comp);
           }
         } else {
-          // Masked extraction: walk cells, skip those covered by finer data.
-          for (BoxIterator it(valid); it.ok(); ++it) {
-            if (!hierarchy.is_finest_at(lev, *it)) continue;
-            const Box cell(*it, *it);
-            TriangleMesh part =
-                extract_isosurface(level.data[i], cell, isovalue, comp, dx);
-            if (stats) {
-              ++scanned[i];
-              active[i] += count_active_cells(level.data[i], cell, isovalue, comp);
-            }
-            parts[i].append(part);
+          // Masked extraction over the x-runs of cells finer data leaves
+          // uncovered, in cell order. A cell's triangles do not depend on the
+          // region it is extracted with, so this equals a per-cell walk.
+          for (const Box& run : hierarchy.uncovered_runs(lev, i)) {
+            active[i] += append_isosurface(level.data[i], run, isovalue, comp, dx,
+                                           parts[i]);
+            scanned[i] += static_cast<std::size_t>(run.num_cells());
           }
         }
       }

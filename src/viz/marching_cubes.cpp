@@ -54,10 +54,13 @@ int cube_index_rows(const double* r00, const double* r10, const double* r01,
 }
 
 /// Serial triangulation over `region`, appended to `mesh` in iteration order.
-void extract_into(const Fab& fab, const Box& region, double isovalue, int comp,
-                  double dx, const Vec3& origin, TriangleMesh& mesh) {
+/// Returns the active cells scanned (count_active_cells' criterion).
+std::size_t extract_into(const Fab& fab, const Box& region, double isovalue,
+                         int comp, double dx, const Vec3& origin,
+                         TriangleMesh& mesh) {
   const Box scan = valid_corner_cells(fab, region);
-  if (scan.empty()) return;
+  if (scan.empty()) return 0;
+  std::size_t active = 0;
   const int x0 = scan.lo()[0];
   const auto nx = static_cast<std::size_t>(scan.size()[0]);
   const auto xoff = static_cast<std::size_t>(x0 - fab.box().lo()[0]);
@@ -72,6 +75,7 @@ void extract_into(const Fab& fab, const Box& region, double isovalue, int comp,
       const int index =
           cube_index_rows(r00, r10, r01, r11, i, isovalue, corner);
       if (index == 0 || index == 255) continue;
+      ++active;
       const std::uint16_t edges = kEdgeTable[index];
       if (edges == 0) continue;
       const int px = x0 + static_cast<int>(i);
@@ -94,9 +98,16 @@ void extract_into(const Fab& fab, const Box& region, double isovalue, int comp,
       }
     }
   });
+  return active;
 }
 
 }  // namespace
+
+std::size_t append_isosurface(const Fab& fab, const Box& region, double isovalue,
+                              int comp, double dx, TriangleMesh& mesh) {
+  XL_REQUIRE(comp >= 0 && comp < fab.ncomp(), "component out of range");
+  return extract_into(fab, region, isovalue, comp, dx, {}, mesh);
+}
 
 TriangleMesh extract_isosurface(const Fab& fab, const Box& region, double isovalue,
                                 int comp, double dx, const Vec3& origin) {

@@ -37,6 +37,13 @@ TriangleMesh extract_isosurface(const mesh::Fab& fab, const mesh::Box& region,
                                 double isovalue, int comp = 0, double dx = 1.0,
                                 const Vec3& origin = {});
 
+/// Serial extract_isosurface (origin 0) appended to `mesh` in cell order.
+/// Returns count_active_cells over the same region. Callers walking many
+/// small regions (the masked AMR levels) use this to fill one mesh in place.
+std::size_t append_isosurface(const mesh::Fab& fab, const mesh::Box& region,
+                              double isovalue, int comp, double dx,
+                              TriangleMesh& mesh);
+
 /// Count the cells of `region` whose cube configuration is non-trivial (used
 /// by the cost model: marching-cubes time ~ cells scanned + k * active cells).
 std::size_t count_active_cells(const mesh::Fab& fab, const mesh::Box& region,

@@ -138,6 +138,31 @@ TEST(CopierDetails, PlanNeverWritesOwnValidCells) {
   }
 }
 
+TEST(CopierDetails, UnshiftedOpsReadOnlySourceValidCells) {
+  // LevelData::exchange copies an unshifted op's region as-is: the region
+  // must already be ghosted(dst) & box(src), inside the source's valid cells.
+  const Box domain = Box::domain({12, 10, 8});
+  std::vector<Box> uneven{Box({0, 0, 0}, {4, 9, 7}), Box({5, 0, 0}, {11, 3, 7}),
+                          Box({5, 4, 0}, {8, 9, 3}), Box({9, 4, 0}, {11, 9, 7}),
+                          Box({5, 4, 4}, {8, 9, 7})};
+  for (const mesh::BoxLayout& layout :
+       {mesh::balance(mesh::decompose(domain, 4), 2), mesh::balance(uneven, 2)}) {
+    for (const int nghost : {1, 2, 3}) {
+      for (const bool periodic : {false, true}) {
+        const mesh::Copier copier(layout, nghost, domain, periodic);
+        std::size_t unshifted = 0;
+        for (const mesh::CopyOp& op : copier.ops()) {
+          if (!(op.shift == IntVect::zero())) continue;
+          ++unshifted;
+          EXPECT_EQ(op.region, layout.box(op.dst).grow(nghost) & layout.box(op.src));
+          EXPECT_EQ(op.region & layout.box(op.src), op.region);
+        }
+        EXPECT_GT(unshifted, 0u);
+      }
+    }
+  }
+}
+
 TEST(CopierDetails, PeriodicPlanHasShiftedOps) {
   const Box domain = Box::domain({8, 8, 8});
   const mesh::BoxLayout layout = mesh::balance(mesh::decompose(domain, 4), 1);

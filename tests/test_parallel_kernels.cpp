@@ -18,6 +18,7 @@
 
 #include "amr/advection_diffusion.hpp"
 #include "amr/amr_simulation.hpp"
+#include "amr/interp.hpp"
 #include "amr/polytropic_gas.hpp"
 #include "amr/tagging.hpp"
 #include "analysis/compress.hpp"
@@ -26,6 +27,7 @@
 #include "common/thread_pool.hpp"
 #include "viz/amr_isosurface.hpp"
 #include "viz/marching_cubes.hpp"
+#include "seed_amr_plans.hpp"
 
 namespace xl {
 namespace {
@@ -33,6 +35,7 @@ namespace {
 using mesh::Box;
 using mesh::BoxIterator;
 using mesh::Fab;
+using mesh::IntVect;
 
 /// Restores the global pool to serial even when a test fails mid-way.
 struct GlobalWorkersGuard {
@@ -558,6 +561,170 @@ TEST(SeedIdentity, TagCellsMatchSeedPerCellPath) {
         std::memcpy(bytes.data(), tags.data(), bytes.size());
         return bytes;
       });
+}
+
+// --- plans built once per regrid --------------------------------------------
+
+std::vector<std::uint8_t> mesh_bytes(const viz::TriangleMesh& mesh) {
+  std::vector<std::uint8_t> bytes(mesh.vertices.size() * sizeof(viz::Vec3));
+  std::memcpy(bytes.data(), mesh.vertices.data(), bytes.size());
+  return bytes;
+}
+
+/// A 16^3 base level in 8^3 boxes under hand-placed finer levels, every fab
+/// (ghosts too) filled with a smooth field of the physical cell centre.
+amr::AmrHierarchy placed_hierarchy(int ratio, const std::vector<std::vector<Box>>& fine,
+                                   bool periodic) {
+  amr::AmrConfig cfg;
+  cfg.base_domain = Box::domain({16, 16, 16});
+  cfg.max_levels = static_cast<int>(fine.size()) + 1;
+  cfg.ref_ratio = ratio;
+  cfg.max_box_size = 8;
+  cfg.nghost = 2;
+  cfg.nranks = 2;
+  cfg.periodic = periodic;
+  amr::AmrHierarchy h(cfg, 1);
+  std::vector<mesh::BoxLayout> layouts;
+  for (const std::vector<Box>& boxes : fine) layouts.push_back(mesh::balance(boxes, 2));
+  h.regrid(layouts);
+  double dx = 1.0 / 16.0;
+  for (std::size_t l = 0; l < h.num_levels(); ++l) {
+    amr::AmrLevel& level = h.level(l);
+    for (std::size_t i = 0; i < level.layout.num_boxes(); ++i) {
+      for (BoxIterator it(level.data[i].box()); it.ok(); ++it) {
+        const double x = ((*it)[0] + 0.5) * dx, y = ((*it)[1] + 0.5) * dx;
+        const double z = ((*it)[2] + 0.5) * dx;
+        level.data[i](*it) = std::sin(7.0 * x) * std::cos(5.0 * y) + 0.6 * z;
+      }
+    }
+    dx /= static_cast<double>(ratio);
+  }
+  return h;
+}
+
+/// Fine boxes (in level-1 index space for ratio r) that straddle the coarse
+/// box edge at 8, touch the domain boundary, and start or end mid-parent.
+std::vector<Box> awkward_fine_boxes(int r) {
+  return {Box(IntVect{5, 3, 6} * r, IntVect{10, 6, 9} * r + (r - 1)),
+          Box(IntVect{0, 12, 0} * r, IntVect{3, 15, 2} * r + (r - 1)),
+          Box(IntVect{11, 9, 12} * r + 1, IntVect{15, 11, 15} * r + (r - 1))};
+}
+
+TEST(SeedIdentity, MaskedAmrIsosurfaceMatchesPerCellScan) {
+  // Two levels at ratio 2 and 4, and three levels at ratio 2 with level 2
+  // starting mid-parent and touching the domain edge as well.
+  std::vector<amr::AmrHierarchy> cases;
+  cases.push_back(placed_hierarchy(2, {awkward_fine_boxes(2)}, true));
+  cases.push_back(placed_hierarchy(4, {awkward_fine_boxes(4)}, true));
+  cases.push_back(placed_hierarchy(
+      2, {awkward_fine_boxes(2), {Box({21, 13, 25}, {30, 20, 33}), Box({0, 56, 0}, {5, 63, 3})}},
+      false));
+  for (const amr::AmrHierarchy& h : cases) {
+    viz::IsosurfaceStats want_stats;
+    const viz::TriangleMesh want =
+        seed::seed_extract_amr_isosurface(h, 0.2, 0, 1.0 / 16.0, want_stats);
+    ASSERT_GT(want_stats.triangles, 0u);
+    ASSERT_LT(want_stats.cells_scanned,
+              static_cast<std::size_t>(h.total_cells()));  // the mask bites
+    GlobalWorkersGuard guard;
+    for (std::size_t workers : kSeedWorkerCounts) {
+      ThreadPool::set_global_workers(workers);
+      viz::IsosurfaceStats stats;
+      const viz::TriangleMesh got =
+          viz::extract_amr_isosurface(h, 0.2, 0, 1.0 / 16.0, &stats);
+      EXPECT_EQ(mesh_bytes(got), mesh_bytes(want)) << workers << " workers";
+      EXPECT_EQ(stats.cells_scanned, want_stats.cells_scanned);
+      EXPECT_EQ(stats.active_cells, want_stats.active_cells);
+      EXPECT_EQ(stats.triangles, want_stats.triangles);
+    }
+  }
+}
+
+TEST(SeedIdentity, CfGhostPlanMatchesPerCellFill) {
+  for (const int r : {2, 4}) {
+    for (const bool periodic : {false, true}) {
+      amr::AmrHierarchy h = placed_hierarchy(r, {awkward_fine_boxes(r)}, periodic);
+      // Each coarse fab, ghosts included, holds values of its own, so a fine
+      // ghost cell whose parent lies in two fabs' ghosted boxes tells which
+      // fab wrote last. Off a non-periodic domain edge no exchange evens
+      // them out.
+      amr::AmrLevel& coarse = h.level(0);
+      for (std::size_t ci = 0; ci < coarse.layout.num_boxes(); ++ci) {
+        for (BoxIterator it(coarse.data[ci].box()); it.ok(); ++it) {
+          coarse.data[ci](*it) = 1000.0 * static_cast<double>(ci + 1) + (*it)[0] +
+                                 0.01 * (*it)[1] + 1e-4 * (*it)[2];
+        }
+      }
+      std::size_t contested = 0;
+      const amr::AmrLevel& fine = h.level(1);
+      for (std::size_t fi = 0; fi < fine.layout.num_boxes(); ++fi) {
+        for (BoxIterator it(fine.data[fi].box()); it.ok(); ++it) {
+          const IntVect parent = (*it).coarsen(IntVect::uniform(r));
+          std::size_t holders = 0;
+          for (std::size_t ci = 0; ci < coarse.layout.num_boxes(); ++ci) {
+            holders += coarse.data[ci].box().contains(parent) ? 1 : 0;
+          }
+          contested += holders > 1 && !fine.layout.box(fi).contains(*it) ? 1 : 0;
+        }
+      }
+      ASSERT_GT(contested, 0u) << "no fine ghost has two coarse holders";
+
+      amr::AmrHierarchy want = h;
+      seed::seed_fill_cf_ghosts(want.level(0), want.level(1), r, 2);
+      amr::AmrHierarchy free_fn = h;
+      amr::fill_cf_ghosts(free_fn.level(0), free_fn.level(1), r, 2);
+      EXPECT_EQ(hierarchy_bytes(free_fn), hierarchy_bytes(want))
+          << "ratio " << r << (periodic ? " periodic" : " non-periodic");
+
+      // The hierarchy's cached plans: exchange, then the coarse-fine plan.
+      want = h;
+      want.level(1).data.exchange(want.level(1).domain, periodic);
+      seed::seed_fill_cf_ghosts(want.level(0), want.level(1), r, 2);
+      amr::AmrHierarchy cached = h;
+      cached.fill_ghosts(1);
+      EXPECT_EQ(hierarchy_bytes(cached), hierarchy_bytes(want))
+          << "ratio " << r << (periodic ? " periodic" : " non-periodic");
+    }
+  }
+}
+
+TEST(SeedIdentity, SteppingAcrossRegridsMatchesPerCallPlans) {
+  amr::TagCriterion crit;
+  crit.comp = amr::PolytropicGas::kRho;
+  crit.rel_threshold = 0.05;
+  auto physics = std::make_shared<amr::PolytropicGas>();
+  constexpr int kSteps = 7;
+  constexpr int kRegridInterval = 2;
+
+  // The replica: per-call plans, serial, one snapshot per step.
+  amr::AmrSimulation start(shock_config(), physics, crit, 0.3, kRegridInterval);
+  start.initialize();
+  seed::SeedStepper replica(start.hierarchy(), physics, crit, 0.3, kRegridInterval);
+  std::vector<std::vector<std::uint8_t>> want;
+  std::vector<std::vector<Box>> fine_layouts;
+  for (int s = 0; s < kSteps; ++s) {
+    replica.advance();
+    want.push_back(hierarchy_bytes(replica.hierarchy()));
+    fine_layouts.push_back(replica.hierarchy().level(1).layout.boxes());
+  }
+  // The test needs regrids that actually move the fine level.
+  std::size_t layout_changes = 0;
+  for (std::size_t s = 1; s < fine_layouts.size(); ++s) {
+    layout_changes += fine_layouts[s] != fine_layouts[s - 1] ? 1 : 0;
+  }
+  ASSERT_GE(layout_changes, 2u);
+
+  GlobalWorkersGuard guard;
+  for (std::size_t workers : kSeedWorkerCounts) {
+    ThreadPool::set_global_workers(workers);
+    amr::AmrSimulation sim(shock_config(), physics, crit, 0.3, kRegridInterval);
+    sim.initialize();
+    for (int s = 0; s < kSteps; ++s) {
+      sim.advance();
+      ASSERT_EQ(hierarchy_bytes(sim.hierarchy()), want[static_cast<std::size_t>(s)])
+          << "step " << s + 1 << " at " << workers << " workers";
+    }
+  }
 }
 
 TEST(ParallelKernels, EntropyIgnoresNaNCells) {
